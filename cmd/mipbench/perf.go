@@ -261,6 +261,20 @@ func measureCaching(report *benchReport) {
 	report.Caching = append(report.Caching, c)
 }
 
+// dashboardMix is one load of a dashboard's descriptive-statistics page as
+// the federation sees it: six statements that every load repeats verbatim,
+// the repeat traffic both cache tiers exist for.
+func dashboardMix() []string {
+	return []string{
+		"SELECT count(*) AS n FROM data",
+		"SELECT avg(ab42) AS m, stddev(ab42) AS s, count(ab42) AS n FROM data",
+		"SELECT avg(lefthippocampus) AS m, min(lefthippocampus) AS lo, max(lefthippocampus) AS hi FROM data",
+		"SELECT alzheimerbroadcategory, count(*) AS n FROM data GROUP BY alzheimerbroadcategory ORDER BY alzheimerbroadcategory",
+		"SELECT gender, avg(minimentalstate) AS m FROM data GROUP BY gender ORDER BY gender",
+		"SELECT avg(p_tau) AS m, stddev(p_tau) AS s FROM data WHERE subjectageyears > 65",
+	}
+}
+
 // comparePerf diffs the fresh report against the baseline JSON at path,
 // printing ns/op and allocs/op deltas per benchmark, and returns how many
 // benchmarks regressed more than threshold percent. Alloc regressions only

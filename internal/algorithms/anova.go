@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -65,6 +66,26 @@ type ANOVATable struct {
 	MeanSq float64 `json:"mean_sq"`
 	F      float64 `json:"f"`
 	PValue float64 `json:"p_value"`
+}
+
+// MarshalJSON writes non-finite numbers as null: the Residuals row has no
+// F test (its F and p-value are NaN), and encoding/json rejects NaN and
+// ±Inf outright.
+func (r ANOVATable) MarshalJSON() ([]byte, error) {
+	num := func(x float64) *float64 {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil
+		}
+		return &x
+	}
+	return json.Marshal(struct {
+		Effect string   `json:"effect"`
+		DF     *float64 `json:"df"`
+		SumSq  *float64 `json:"sum_sq"`
+		MeanSq *float64 `json:"mean_sq"`
+		F      *float64 `json:"f"`
+		PValue *float64 `json:"p_value"`
+	}{r.Effect, num(r.DF), num(r.SumSq), num(r.MeanSq), num(r.F), num(r.PValue)})
 }
 
 // ANOVAOneWay implements one-way analysis of variance.

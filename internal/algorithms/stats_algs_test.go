@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -416,5 +417,47 @@ func TestBinnedAUC(t *testing.T) {
 	}
 	if !math.IsNaN(binnedAUC(make([]float64, rocBins), neg)) {
 		t.Fatal("no positives should be NaN")
+	}
+}
+
+// TestANOVAResultsMarshal: both ANOVA results must encode with plain
+// encoding/json (the REST edge and any result consumer do exactly that),
+// with the Residuals row's undefined F and p-value written as null.
+func TestANOVAResultsMarshal(t *testing.T) {
+	m, _ := testFed(t, 3, 200, false)
+	for name, req := range map[string]Request{
+		"anova_oneway": {
+			Datasets:   []string{"edsd"},
+			Y:          []string{"lefthippocampus"},
+			X:          []string{"alzheimerbroadcategory"},
+			Parameters: map[string]any{"levels": []any{"CN", "MCI", "AD"}},
+		},
+		"anova_twoway": {
+			Datasets: []string{"edsd"},
+			Y:        []string{"lefthippocampus"},
+			X:        []string{"alzheimerbroadcategory", "gender"},
+			Parameters: map[string]any{"levels": map[string]any{
+				"alzheimerbroadcategory": []any{"CN", "MCI", "AD"},
+				"gender":                 []any{"F", "M"},
+			}},
+		},
+	} {
+		buf, err := json.Marshal(runAlg(t, m, name, req))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var out struct {
+			Table []map[string]any `json:"table"`
+		}
+		if err := json.Unmarshal(buf, &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		last := out.Table[len(out.Table)-1]
+		if last["effect"] != "Residuals" || last["f"] != nil || last["p_value"] != nil {
+			t.Errorf("%s: residual row = %v, want null f and p_value", name, last)
+		}
+		if _, ok := out.Table[0]["f"].(float64); !ok {
+			t.Errorf("%s: first effect row = %v, want a numeric f", name, out.Table[0])
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // execSelect runs a parsed SELECT over an input table. It implements the
 // pipeline scan → filter → (group-by aggregate | project) → having →
 // order by → limit, column-at-a-time over morsels: the filter, aggregate
-// and ORDER BY stages fan row ranges out across ec's worker pool (per-
-// morsel sort + parallel run merging), while LIMIT stays a serial tail.
+// and ORDER BY stages fan row ranges out across ec's worker pool (the one
+// sorter in sort.go), while LIMIT stays a serial tail.
 // qs (optional, may be nil)
 // accumulates rows/vectors touched and grows the plan tree one node per
 // executed stage (the scan/join/merge nodes below the first stage are
@@ -36,10 +36,7 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 	// results stay bit-identical at every parallelism degree. Empty inputs
 	// take the unfused path so evaluation errors surface identically.
 	hasAgg := selHasAgg(st)
-	kPrime := -1
-	if st.Limit >= 0 {
-		kPrime = st.Limit + st.Offset
-	}
+	kPrime := limitRows(st)
 	useTopk := !hasAgg && len(st.OrderBy) > 0 && kPrime >= 0 &&
 		kPrime <= topkMaxCandidates && kPrime < t.NumRows()
 	canFuse := st.Where != nil && t.NumRows() > 0
@@ -62,7 +59,6 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 
 	var out *Table
 	var err error
-	limitApplied := false
 	degree := ec.degreeFor(len(ec.morselsOf(t.NumRows())))
 	beginFusedFilter := func() *stage {
 		if st.Where == nil {
@@ -96,17 +92,6 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 			fs.end(nil)
 		}
 		sg.end(out)
-		if len(st.OrderBy) > 0 {
-			if err := ec.interrupted(); err != nil {
-				return nil, err
-			}
-			so := qs.beginStage("order", orderDetail(st.OrderBy), out.NumRows())
-			out, err = execOrderByPar(ec, st.OrderBy, out, so)
-			if err != nil {
-				return nil, err
-			}
-			so.end(out)
-		}
 	case useTopk:
 		// ORDER BY ... LIMIT k: bounded per-morsel selection + merge. Each
 		// morsel keeps only its k'=limit+offset best rows, so the sort/merge
@@ -118,7 +103,6 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 		if err != nil {
 			return nil, err
 		}
-		limitApplied = true
 	case len(st.OrderBy) > 0:
 		// ORDER BY may reference source columns that the projection drops
 		// (SELECT id ... ORDER BY age), as well as projection aliases. Build
@@ -149,12 +133,10 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 			}
 			sp.end(ext)
 		}
-		so := qs.beginStage("order", orderDetail(st.OrderBy), ext.NumRows())
-		ext, err = execOrderByPar(ec, st.OrderBy, ext, so)
+		ext, err = execOrder(ec, st, ext, qs)
 		if err != nil {
 			return nil, err
 		}
-		so.end(ext)
 		sf := qs.beginStage("project", projectDetail(st), ext.NumRows())
 		out, err = projectNames(ext, outNames)
 		if err != nil {
@@ -188,13 +170,12 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 		}
 		sp.end(out)
 	}
-	if !limitApplied {
-		if st.Limit >= 0 || st.Offset > 0 {
-			sl := qs.beginStage("limit", limitDetail(st), out.NumRows())
-			out = execLimit(st, out)
-			sl.end(out)
-		} else {
-			out = execLimit(st, out)
+	if !useTopk {
+		// Only aggregates sort here; other pipelines sorted before their
+		// final projection (top-k folded the limit in as well).
+		out, err = orderLimit(ec, st, out, qs, !hasAgg)
+		if err != nil {
+			return nil, err
 		}
 	}
 	// Fused pipelines charge their output at the terminal concat, after the
@@ -218,10 +199,11 @@ const topkMaxCandidates = 1 << 16
 // execTopK implements ORDER BY ... LIMIT k without a full sort: every
 // morsel (optionally filtered in-loop) sorts its own extended rows and
 // keeps only its first k'=limit+offset; the candidates are concatenated in
-// morsel order and re-sorted. A row outside its morsel's first k' has ≥ k'
-// rows ahead of it globally, so the merged first k' equal the full stable
-// sort's first k' — including tie order, because per-morsel stable sorts
-// preserve within-morsel row order and the concat preserves morsel order.
+// morsel order and sorted again, cut to k'. A row outside its morsel's
+// first k' has ≥ k' rows ahead of it globally, so the merged first k' equal
+// the full sort's first k' — including tie order, because the sorter
+// breaks ties on row index, each morsel's candidates keep their row order
+// and the concat keeps morsel order.
 func execTopK(ec *ExecContext, st *SelectStmt, t *Table, qs *QueryStats, kPrime, degree int, beginFusedFilter func() *stage) (*Table, error) {
 	fs := beginFusedFilter()
 	sg := qs.beginStage("topk", orderDetail(st.OrderBy)+" "+limitDetail(st), t.NumRows())
@@ -256,12 +238,9 @@ func execTopK(ec *ExecContext, st *SelectStmt, t *Table, qs *QueryStats, kPrime,
 		if err != nil {
 			return err
 		}
-		idx, err := sortIdx(st.OrderBy, ext)
+		idx, err := ec.sortPerm(st.OrderBy, ext, kPrime, nil)
 		if err != nil {
 			return err
-		}
-		if len(idx) > kPrime {
-			idx = idx[:kPrime]
 		}
 		parts[i] = ext.Gather(idx)
 		node.AddMorsels(1)
@@ -274,19 +253,12 @@ func execTopK(ec *ExecContext, st *SelectStmt, t *Table, qs *QueryStats, kPrime,
 	if err != nil {
 		return nil, err
 	}
-	idx, err := sortIdx(st.OrderBy, merged)
+	idx, err := ec.sortPerm(st.OrderBy, merged, kPrime, nil)
 	if err != nil {
 		return nil, err
 	}
-	start := st.Offset
-	if start > len(idx) {
-		start = len(idx)
-	}
-	end := len(idx)
-	if st.Limit >= 0 && start+st.Limit < end {
-		end = start + st.Limit
-	}
-	out, err := projectNames(merged.Gather(idx[start:end]), outNames)
+	// idx holds the first k'=limit+offset rows: skip the offset.
+	out, err := projectNames(merged.Gather(idx[min(st.Offset, len(idx)):]), outNames)
 	if err != nil {
 		return nil, err
 	}
@@ -501,98 +473,6 @@ func execLimit(st *SelectStmt, t *Table) *Table {
 		sel = append(sel, int32(i))
 	}
 	return t.Gather(sel)
-}
-
-func execOrderBy(keys []OrderItem, t *Table) (*Table, error) {
-	idx, err := sortIdx(keys, t)
-	if err != nil {
-		return nil, err
-	}
-	return t.Gather(idx), nil
-}
-
-// sortIdx returns the stable sort permutation of t's rows under the ORDER
-// BY keys without gathering; top-k truncates it before materializing.
-func sortIdx(keys []OrderItem, t *Table) ([]int32, error) {
-	n := t.NumRows()
-	vecs := make([]*Vector, len(keys))
-	for i, k := range keys {
-		v, err := Eval(k.Expr, t)
-		if err != nil {
-			return nil, err
-		}
-		vecs[i] = v
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := int(idx[a]), int(idx[b])
-		for k, v := range vecs {
-			c := compareRows(v, ia, ib)
-			if c == 0 {
-				continue
-			}
-			if keys[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return idx, nil
-}
-
-// compareRows orders two rows of one vector: NULLs sort first, and NaNs
-// sort after every number (so ASC puts them last, DESC first). Giving NaN
-// a fixed position keeps the comparator total — IEEE NaN comparisons are
-// all false, which would otherwise make "equality" intransitive and the
-// sorted order an artifact of the sort algorithm rather than of the data;
-// totality is what lets the parallel merge reproduce the serial sort
-// bit-identically.
-func compareRows(v *Vector, a, b int) int {
-	na, nb := v.IsNull(a), v.IsNull(b)
-	switch {
-	case na && nb:
-		return 0
-	case na:
-		return -1
-	case nb:
-		return 1
-	}
-	switch v.Type() {
-	case String:
-		return strings.Compare(v.StringAt(a), v.StringAt(b))
-	case Bool:
-		x, y := v.Bools()[a], v.Bools()[b]
-		switch {
-		case x == y:
-			return 0
-		case !x:
-			return -1
-		default:
-			return 1
-		}
-	default:
-		f := v.CastFloat64().Float64s()
-		x, y := f[a], f[b]
-		nx, ny := math.IsNaN(x), math.IsNaN(y)
-		switch {
-		case nx && ny:
-			return 0
-		case nx:
-			return 1
-		case ny:
-			return -1
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	}
 }
 
 // --- aggregation ---

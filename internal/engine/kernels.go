@@ -157,7 +157,17 @@ func compare(op string, l, r *Vector) (*Vector, error) {
 	if l.Type() == String || r.Type() == String {
 		return nil, fmt.Errorf("engine: cannot compare %v with %v", l.Type(), r.Type())
 	}
-	a, b := l.CastFloat64().Float64s(), r.CastFloat64().Float64s()
+	if l.Type() == Int64 && r.Type() == Int64 {
+		// Exact: int64 values past 2^53 share float64s.
+		compareSlices(op, l.Int64s(), r.Int64s(), out)
+	} else {
+		compareSlices(op, l.CastFloat64().Float64s(), r.CastFloat64().Float64s(), out)
+	}
+	return NewBoolVector(out, valid), nil
+}
+
+// compareSlices writes a[i] op b[i] into out.
+func compareSlices[T int64 | float64](op string, a, b []T, out []bool) {
 	switch op {
 	case "=":
 		for i := range out {
@@ -184,7 +194,6 @@ func compare(op string, l, r *Vector) (*Vector, error) {
 			out[i] = a[i] >= b[i]
 		}
 	}
-	return NewBoolVector(out, valid), nil
 }
 
 func cmpHolds(op string, c int) bool {

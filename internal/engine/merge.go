@@ -786,20 +786,9 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 		return nil, err
 	}
 	sp.end(out)
-	if len(st.OrderBy) > 0 {
-		so := qs.beginStage("order", orderDetail(st.OrderBy), out.NumRows())
-		out, err = execOrderByPar(ec, st.OrderBy, out, so)
-		if err != nil {
-			return nil, err
-		}
-		so.end(out)
-	}
-	if st.Limit >= 0 || st.Offset > 0 {
-		sl := qs.beginStage("limit", limitDetail(st), out.NumRows())
-		out = execLimit(st, out)
-		sl.end(out)
-	} else {
-		out = execLimit(st, out)
+	out, err = orderLimit(ec, st, out, qs, false)
+	if err != nil {
+		return nil, err
 	}
 	if qs != nil {
 		// The combine-stage execSelect counted its intermediate rows; the

@@ -826,23 +826,9 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 		fs.end(nil)
 	}
 	sg.end(out)
-	if len(s.OrderBy) > 0 {
-		if err := ec.interrupted(); err != nil {
-			return nil, true, err
-		}
-		so := qs.beginStage("order", orderDetail(s.OrderBy), out.NumRows())
-		out, err = execOrderBy(s.OrderBy, out)
-		if err != nil {
-			return nil, true, err
-		}
-		so.end(out)
-	}
-	if s.Limit >= 0 || s.Offset > 0 {
-		sl := qs.beginStage("limit", limitDetail(s), out.NumRows())
-		out = execLimit(s, out)
-		sl.end(out)
-	} else {
-		out = execLimit(s, out)
+	out, err = orderLimit(ec, s, out, qs, false)
+	if err != nil {
+		return nil, true, err
 	}
 	if err := ec.interrupted(); err != nil {
 		return nil, true, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -654,5 +655,30 @@ func TestQuotedIdentifierEscapes(t *testing.T) {
 	}
 	if _, err := db.Query(`SELECT "trailing"" FROM t`); err == nil {
 		t.Fatal("identifier ending in an escaped quote with no closer must error")
+	}
+}
+
+// TestIntCompareExact: 2^53 and 2^53+1 are distinct BIGINTs but one
+// float64, so INT×INT comparisons must not go through float.
+func TestIntCompareExact(t *testing.T) {
+	db := NewDB()
+	tab := NewTable(Schema{{Name: "id", Type: Int64}})
+	for _, v := range []int64{1 << 53, 1<<53 + 1, 1<<53 + 2} {
+		if err := tab.AppendRow(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.RegisterTable("t", tab)
+	for sql, want := range map[string][]int64{
+		`SELECT id FROM t WHERE id = 9007199254740993`:  {1<<53 + 1},
+		`SELECT id FROM t WHERE id <> 9007199254740993`: {1 << 53, 1<<53 + 2},
+		`SELECT id FROM t WHERE id < 9007199254740993`:  {1 << 53},
+		`SELECT id FROM t WHERE id >= 9007199254740993`: {1<<53 + 1, 1<<53 + 2},
+	} {
+		res := q(t, db, sql)
+		got := res.Col(0).Int64s()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s = %v, want %v", sql, got, want)
+		}
 	}
 }

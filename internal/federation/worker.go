@@ -98,9 +98,9 @@ type Worker struct {
 	bootID      string
 	verSeq      uint64
 	dsVers      map[string]uint64
-	dsCounts    map[string]float64 // dataset → row count at last refresh
-	lastDataVer uint64             // engine data version at last refresh
-	lastBlind   uint64             // engine blind-bump count at last refresh
+	dsCounts    map[string]int64 // dataset → row count at last refresh
+	lastDataVer uint64           // engine data version at last refresh
+	lastBlind   uint64           // engine blind-bump count at last refresh
 }
 
 // jobDedupeCap bounds the replay-dedupe cache; the oldest job records are
@@ -190,11 +190,12 @@ func (w *Worker) refreshDatasets() {
 	if err != nil {
 		return
 	}
-	counts := make(map[string]float64, t.NumRows())
+	ns := t.Col(1).Int64s()
+	counts := make(map[string]int64, t.NumRows())
 	for i := 0; i < t.NumRows(); i++ {
 		ds := t.Col(0).StringAt(i)
 		w.datasets = append(w.datasets, ds)
-		counts[ds] = t.Col(1).CastFloat64().Float64s()[i]
+		counts[ds] = ns[i]
 	}
 	changed := 0
 	for ds, n := range counts {
